@@ -138,7 +138,7 @@ func (t *Tape) backprop(n *node) {
 			mmNTAcc(da, g, nb.val, rows, m, k)
 		}
 		if db := t.gradOf(n.b); db != nil {
-			mmTNAcc(db, na.val, g, rows, k, m)
+			t.mmTNAcc(db, na.val, g, rows, k, m)
 		}
 	case OpMatMulC:
 		na := &t.nodes[n.a]

@@ -204,6 +204,14 @@ type pool struct {
 }
 
 func (p *pool) get(n int) []float64 {
+	buf := p.scratch(n)
+	clear(buf)
+	return buf
+}
+
+// scratch returns a buffer of length n from the pool without zeroing it,
+// for kernel workspace that is fully overwritten before it is read.
+func (p *pool) scratch(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -211,9 +219,6 @@ func (p *pool) get(n int) []float64 {
 		if bufs := p.byLen[n]; len(bufs) > 0 {
 			buf := bufs[len(bufs)-1]
 			p.byLen[n] = bufs[:len(bufs)-1]
-			for i := range buf {
-				buf[i] = 0
-			}
 			return buf
 		}
 	}

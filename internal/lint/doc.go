@@ -19,7 +19,8 @@
 //     verified by exported facts — so ftdc sampling can never block or
 //     perturb the computation it observes.
 //   - hotalloc: functions annotated //torq:hotpath (frame codec,
-//     ShardRunner shard loop, per-sample-range kernels) may not contain
+//     ShardRunner shard loop, per-sample-range kernels, the dense matmul
+//     kernels in internal/ad) may not contain
 //     heap-escaping composite literals, fmt calls, closures capturing by
 //     reference, growing appends, or allocating conversions — compile-time
 //     teeth for the 0-allocs/op benchmarks.
