@@ -31,8 +31,8 @@ var goldenRuns = []struct {
 		prob: maxwell.DielectricCase,
 		loss: maxwell.PaperConfig(false, true),
 		want: []uint64{
-			0x403f74ed3f3d863b, 0x4039d5839dfb0842, 0x40352c6c9417a0ae, 0x40315b3a7f62836c, 0x402c834989289385,
-			0x402781382957b586, 0x4023794041d2a556, 0x40203d27fed45be7, 0x401b4def2aa2f9e8, 0x40172f475a224ce8,
+			0x403f74ed3f3d863b, 0x4039d5839dfb0842, 0x40352c6c9417a0af, 0x40315b3a7f62836c, 0x402c834989289385,
+			0x402781382957b586, 0x4023794041d2a555, 0x40203d27fed45be7, 0x401b4def2aa2f9e8, 0x40172f475a224ce8,
 		},
 	},
 	{
@@ -46,8 +46,8 @@ var goldenRuns = []struct {
 		prob: maxwell.VacuumCase,
 		loss: maxwell.PaperConfig(true, true),
 		want: []uint64{
-			0x40335425cfca064e, 0x40304432a9d15100, 0x402b5a50d8956a37, 0x40271ae2cfbe71f5, 0x4023b0cf173660cc,
-			0x4020f5bc4ce00167, 0x401d87c396257f1e, 0x4019f983808316f6, 0x40171247d927fbd2, 0x4014ae530222b232,
+			0x40335425cfca064e, 0x40304432a9d150ff, 0x402b5a50d8956a37, 0x40271ae2cfbe71f7, 0x4023b0cf173660ce,
+			0x4020f5bc4ce00167, 0x401d87c396257f1b, 0x4019f983808316ed, 0x40171247d927fbd6, 0x4014ae530222b238,
 		},
 	},
 }

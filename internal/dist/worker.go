@@ -152,12 +152,10 @@ func (s *session) hello(body []byte) error {
 	if len(hm.Gates) > maxWorkerGates {
 		return fmt.Errorf("refusing circuit with %d gates (worker bound: %d)", len(hm.Gates), maxWorkerGates)
 	}
-	for _, g := range hm.Gates {
-		if g.Q < 0 || g.Q >= hm.NumQubits || g.C >= hm.NumQubits || g.P >= hm.NumParams {
-			return fmt.Errorf("refusing gate %+v outside circuit bounds (nq=%d, params=%d)", g, hm.NumQubits, hm.NumParams)
-		}
-	}
 	circ := qsim.NewCircuitFromSpec(hm.Name, hm.NumQubits, hm.Layers, hm.Gates, hm.NumParams, hm.Reupload, hm.LayerStarts)
+	if err := circ.Validate(); err != nil {
+		return fmt.Errorf("refusing circuit: %w", err)
+	}
 	runner := qsim.NewShardRunner(circ)
 	if got := runner.Digest(); got != hm.Digest {
 		return fmt.Errorf("compiled program digest mismatch: worker %+v, coordinator %+v", got, hm.Digest)

@@ -57,6 +57,11 @@ func Decode(data []byte) ([]Sample, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Every name costs at least its length byte, so a count the
+			// remaining bytes cannot hold is rejected before it sizes a make.
+			if cnt > uint64(len(data)) {
+				return nil, fmt.Errorf("ftdc: schema declares %d names in %d bytes", cnt, len(data))
+			}
 			names := make([]string, 0, cnt)
 			for i := uint64(0); i < cnt; i++ {
 				l, err := uvar()
@@ -92,6 +97,11 @@ func Decode(data []byte) ([]Sample, error) {
 			}
 			body := data[:blen]
 			data = data[blen:]
+			// Every sample costs at least one byte for its time delta and
+			// one per value.
+			if cnt > uint64(len(body))/uint64(1+len(names)) {
+				return nil, fmt.Errorf("ftdc: chunk declares %d samples of %d values in %d bytes", cnt, len(names), len(body))
+			}
 			samples, err := decodeChunk(body, int(cnt), names)
 			if err != nil {
 				return nil, err

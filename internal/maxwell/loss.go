@@ -22,9 +22,18 @@ func Split(tp *ad.Tape, out dual.D) FieldsDual {
 }
 
 // Forward evaluates the model on a coordinate batch. withTangents requests
-// the input-derivative channels (needed for PDE and energy losses; the IC
-// and symmetry losses use values only). The maxwell package is agnostic to
-// the architecture behind this closure.
+// the input-derivative channels (needed for PDE and energy losses). The
+// maxwell package is agnostic to the architecture behind this closure, but
+// Build relies on two properties of it:
+//
+//   - periodic: the fields are periodic in x and y with the domain period 2
+//     (the §2.2 embedding sees x and y only through sin/cos(πx), sin/cos(πy)),
+//     so a mirrored point is the same as its periodic image on the grid;
+//   - row-independent: output row i depends on input row i alone, so the
+//     values at a subset of the batch equal a separate pass over that subset.
+//
+// Together they let Build read the IC and mirror-symmetry values out of the
+// one collocation pass instead of running the model again.
 type Forward func(tp *ad.Tape, coords []float64, n int, withTangents bool) FieldsDual
 
 // Config selects the loss composition of one training run.
@@ -66,8 +75,9 @@ func residuals(tp *ad.Tape, f FieldsDual) (curlPart, res2, res3 ad.Value) {
 }
 
 // Build assembles the complete training loss for one step. It runs the
-// model over the collocation set (with tangents), the IC set, and — when the
-// symmetry loss is enabled — the two mirrored batches (values only).
+// model once, over the collocation set with tangents; the IC values are the
+// t = 0 slice of that pass and the mirrored batches of the symmetry loss are
+// row permutations of it (see Forward for the contract this relies on).
 func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Terms {
 	var t Terms
 	f := model(tp, c.Coords, c.N, true)
@@ -126,8 +136,8 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 
 	t.BinResiduals = binResiduals(c, res1vac, res2, res3)
 
-	// Initial-condition loss (eq. 19), values only.
-	fic := model(tp, c.ICCoords, c.ICN, false)
+	// Initial-condition loss (eq. 19) on the t = 0 slice, rows [0, ICN).
+	fic := gather(tp, f, c.icRows)
 	ez0 := tp.Const(c.ICN, 1, c.ICEz0)
 	t.IC = tp.AddScalars(
 		tp.MSE(tp.Sub(fic.Ez.V, ez0)),
@@ -137,11 +147,12 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 
 	terms := []ad.Value{t.Phys, tp.Scale(t.IC, cfg.WIC)}
 
-	// Symmetry loss (eq. 20): mirror batches share the collocation points.
+	// Symmetry loss (eq. 20): the mirrored batches are row permutations of
+	// the collocation pass.
 	if cfg.UseSymmetry && (p.UseSymX || p.UseSymY) {
 		var symTerms []ad.Value
 		if p.UseSymX {
-			fm := model(tp, c.MirrorX, c.N, false)
+			fm := gather(tp, f, c.MirrorXRows)
 			symTerms = append(symTerms,
 				tp.MSE(tp.Sub(f.Ez.V, fm.Ez.V)), // Ez even in x
 				tp.MSE(tp.Sub(f.Hx.V, fm.Hx.V)), // Hx even in x
@@ -149,7 +160,7 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 			)
 		}
 		if p.UseSymY {
-			fm := model(tp, c.MirrorY, c.N, false)
+			fm := gather(tp, f, c.MirrorYRows)
 			symTerms = append(symTerms,
 				tp.MSE(tp.Sub(f.Ez.V, fm.Ez.V)), // Ez even in y
 				tp.MSE(tp.Add(f.Hx.V, fm.Hx.V)), // Hx odd in y
@@ -180,6 +191,16 @@ func Build(tp *ad.Tape, model Forward, p Problem, c *Collocation, cfg Config) Te
 
 	t.Total = tp.AddScalars(terms...)
 	return t
+}
+
+// gather returns the values of the collocation pass f at the given rows, as
+// a value-only batch.
+func gather(tp *ad.Tape, f FieldsDual, rows []int) FieldsDual {
+	return FieldsDual{
+		Ez: dual.FromValue(tp.SelectRows(f.Ez.V, rows)),
+		Hx: dual.FromValue(tp.SelectRows(f.Hx.V, rows)),
+		Hy: dual.FromValue(tp.SelectRows(f.Hy.V, rows)),
+	}
 }
 
 // epsOfDielectric returns the (constant) ε_r of the dielectric partition.

@@ -145,16 +145,62 @@ func TestCollocationPartition(t *testing.T) {
 	}
 }
 
+// TestMirrorBatches: the mirror row maps send every collocation point to
+// its reflection modulo the period 2 — t and the other coordinate bit-equal —
+// and rows [0, ICN) are the t = 0 grid carrying the pulse. Odd and even g
+// cover both the dyadic grids and those whose mirrored coordinate rounds
+// differently from −x, and the fixed rows x = −1 and x = 0.
 func TestMirrorBatches(t *testing.T) {
-	p := NewProblem(VacuumCase)
-	c := NewCollocation(p, 4, 2)
 	differ := func(a, b float64) bool { return math.Float64bits(a) != math.Float64bits(b) }
-	for i := 0; i < c.N; i++ {
-		if differ(c.MirrorX[i*3], -c.Coords[i*3]) || differ(c.MirrorX[i*3+1], c.Coords[i*3+1]) || differ(c.MirrorX[i*3+2], c.Coords[i*3+2]) {
-			t.Fatal("x-mirror batch wrong")
+	// mod2 returns the distance of a from a multiple of 2.
+	mod2 := func(a float64) float64 {
+		r := math.Mod(a, 2)
+		if r < 0 {
+			r += 2
 		}
-		if differ(c.MirrorY[i*3], c.Coords[i*3]) || differ(c.MirrorY[i*3+1], -c.Coords[i*3+1]) {
-			t.Fatal("y-mirror batch wrong")
+		return math.Min(r, 2-r)
+	}
+	for _, g := range []int{4, 5, 6, 8} {
+		p := NewProblem(VacuumCase)
+		c := NewCollocation(p, g, 2)
+		maps := []struct {
+			name string
+			rows []int
+			axis int // the mirrored coordinate
+		}{{"x", c.MirrorXRows, 0}, {"y", c.MirrorYRows, 1}}
+		for _, m := range maps {
+			if len(m.rows) != c.N {
+				t.Fatalf("g=%d: %s-map has %d rows, want %d", g, m.name, len(m.rows), c.N)
+			}
+			seen := make([]bool, c.N)
+			for i, j := range m.rows {
+				if seen[j] {
+					t.Fatalf("g=%d: %s-map is not a permutation (row %d hit twice)", g, m.name, j)
+				}
+				seen[j] = true
+				for k := 0; k < 3; k++ {
+					a, b := c.Coords[i*3+k], c.Coords[j*3+k]
+					if k == m.axis {
+						if d := mod2(a + b); d > 1e-15 {
+							t.Fatalf("g=%d: %s-map row %d→%d: %v is not −%v mod 2 (off by %g)", g, m.name, i, j, b, a, d)
+						}
+					} else if differ(a, b) {
+						t.Fatalf("g=%d: %s-map row %d→%d changes coordinate %d: %v vs %v", g, m.name, i, j, k, a, b)
+					}
+				}
+			}
+		}
+		if c.ICN != g*g || len(c.ICEz0) != c.ICN {
+			t.Fatalf("g=%d: ICN = %d with %d targets, want %d", g, c.ICN, len(c.ICEz0), g*g)
+		}
+		for j := 0; j < c.ICN; j++ {
+			x, y, tt := c.Coords[j*3], c.Coords[j*3+1], c.Coords[j*3+2]
+			if tt != 0 {
+				t.Fatalf("g=%d: IC row %d has t = %v", g, j, tt)
+			}
+			if differ(c.ICEz0[j], p.Pulse.At(x, y)) {
+				t.Fatalf("g=%d: IC row %d target %v, want Pulse.At = %v", g, j, c.ICEz0[j], p.Pulse.At(x, y))
+			}
 		}
 	}
 }

@@ -71,13 +71,18 @@ type Collocation struct {
 	Bins   int
 	BinOf  []int
 	BinIdx [][]int
-	// Mirrored batches for the symmetry loss.
-	MirrorX, MirrorY []float64
+	// Mirror row maps for the symmetry loss: row MirrorXRows[i] holds the
+	// point (−x, y, t) of row i, and MirrorYRows[i] the point (x, −y, t),
+	// both modulo the period 2. The grid x = −1 + 2i/g is closed under
+	// negation mod 2, so ix → (g−ix) mod g (and likewise iy) is a
+	// permutation of the collocation rows.
+	MirrorXRows, MirrorYRows []int
 
-	// Initial-condition set: the G² spatial grid at t = 0 with target Ez.
-	ICCoords []float64
-	ICEz0    []float64
-	ICN      int
+	// Initial-condition set: the G² spatial grid at t = 0, which is the
+	// first time slice of Coords (rows [0, ICN)), with its target Ez.
+	ICEz0  []float64
+	ICN    int
+	icRows []int // 0, 1, …, ICN−1
 }
 
 // NewCollocation builds the grid for problem p: g points per coordinate
@@ -87,8 +92,8 @@ func NewCollocation(p Problem, g, bins int) *Collocation {
 	n := g * g * g
 	c := &Collocation{N: n, Grid: g, Bins: bins}
 	c.Coords = make([]float64, n*3)
-	c.MirrorX = make([]float64, n*3)
-	c.MirrorY = make([]float64, n*3)
+	c.MirrorXRows = make([]int, n)
+	c.MirrorYRows = make([]int, n)
 	c.Eps = make([]float64, n)
 	c.BinOf = make([]int, n)
 	c.BinIdx = make([][]int, bins)
@@ -108,12 +113,8 @@ func NewCollocation(p Problem, g, bins int) *Collocation {
 				c.Coords[i*3+0] = x
 				c.Coords[i*3+1] = y
 				c.Coords[i*3+2] = t
-				c.MirrorX[i*3+0] = -x
-				c.MirrorX[i*3+1] = y
-				c.MirrorX[i*3+2] = t
-				c.MirrorY[i*3+0] = x
-				c.MirrorY[i*3+1] = -y
-				c.MirrorY[i*3+2] = t
+				c.MirrorXRows[i] = (it*g+iy)*g + (g-ix)%g
+				c.MirrorYRows[i] = (it*g+(g-iy)%g)*g + ix
 				c.Eps[i] = p.Medium.EpsAt(x, y)
 				c.BinOf[i] = bin
 				c.BinIdx[bin] = append(c.BinIdx[bin], i)
@@ -128,19 +129,11 @@ func NewCollocation(p Problem, g, bins int) *Collocation {
 	}
 
 	c.ICN = g * g
-	c.ICCoords = make([]float64, c.ICN*3)
 	c.ICEz0 = make([]float64, c.ICN)
-	j := 0
-	for iy := 0; iy < g; iy++ {
-		y := refsol.Coord(iy, g)
-		for ix := 0; ix < g; ix++ {
-			x := refsol.Coord(ix, g)
-			c.ICCoords[j*3+0] = x
-			c.ICCoords[j*3+1] = y
-			c.ICCoords[j*3+2] = 0
-			c.ICEz0[j] = p.Pulse.At(x, y)
-			j++
-		}
+	c.icRows = make([]int, c.ICN)
+	for j := range c.icRows {
+		c.ICEz0[j] = p.Pulse.At(c.Coords[j*3], c.Coords[j*3+1])
+		c.icRows[j] = j
 	}
 	return c
 }

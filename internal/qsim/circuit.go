@@ -81,6 +81,62 @@ func NewCircuitFromSpec(name string, numQubits, layers int, gates []Gate, numPar
 	}
 }
 
+// Validate checks the structure the compiler and the engines index by, so a
+// circuit decoded from outside bytes is refused with an error rather than
+// panicking in compilation:
+//
+//   - NumQubits ≥ 1 and NumParams ≥ 0;
+//   - every gate has a known kind and a target 0 ≤ Q < NumQubits;
+//   - single-qubit gates have C = −1, two-qubit gates 0 ≤ C < NumQubits
+//     with C ≠ Q;
+//   - CNOT has P = −1, every other gate 0 ≤ P < NumParams;
+//   - the layer starts are non-decreasing within [0, len(Gates)], and a
+//     re-uploading circuit has one for each of its Layers.
+func (c *Circuit) Validate() error {
+	nq := c.NumQubits
+	if nq < 1 {
+		return fmt.Errorf("qsim: circuit has %d qubits", nq)
+	}
+	if c.NumParams < 0 {
+		return fmt.Errorf("qsim: circuit has %d parameters", c.NumParams)
+	}
+	for i, g := range c.Gates {
+		if g.Q < 0 || g.Q >= nq {
+			return fmt.Errorf("qsim: gate %d %+v: target outside %d qubits", i, g, nq)
+		}
+		switch g.Kind {
+		case RX, RY, RZ:
+			if g.C != -1 {
+				return fmt.Errorf("qsim: gate %d %+v: single-qubit gate with a control", i, g)
+			}
+		case CNOT, CRZ:
+			if g.C < 0 || g.C >= nq || g.C == g.Q {
+				return fmt.Errorf("qsim: gate %d %+v: control outside %d qubits or equal to the target", i, g, nq)
+			}
+		default:
+			return fmt.Errorf("qsim: gate %d: unknown kind %d", i, g.Kind)
+		}
+		if g.Kind == CNOT {
+			if g.P != -1 {
+				return fmt.Errorf("qsim: gate %d %+v: CNOT carries no parameter", i, g)
+			}
+		} else if g.P < 0 || g.P >= c.NumParams {
+			return fmt.Errorf("qsim: gate %d %+v: parameter outside %d", i, g, c.NumParams)
+		}
+	}
+	prev := 0
+	for l, start := range c.layerBounds {
+		if start < prev || start > len(c.Gates) {
+			return fmt.Errorf("qsim: layer %d starts at gate %d (previous %d, %d gates)", l, start, prev, len(c.Gates))
+		}
+		prev = start
+	}
+	if c.Reupload && c.Layers > len(c.layerBounds) {
+		return fmt.Errorf("qsim: re-uploading circuit has %d layers but %d layer starts", c.Layers, len(c.layerBounds))
+	}
+	return nil
+}
+
 // LayerSlice returns the gates of ansatz layer l.
 func (c *Circuit) LayerSlice(l int) []Gate {
 	start := c.layerBounds[l]

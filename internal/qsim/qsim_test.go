@@ -667,3 +667,19 @@ func TestLayerSlicePartition(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltCircuitsValidate: every ansatz the package builds, with and
+// without re-uploading, passes the structural validation that the dist
+// worker applies to circuits it receives.
+func TestBuiltCircuitsValidate(t *testing.T) {
+	for _, a := range AllAnsatze {
+		for _, nq := range []int{2, 4, 7} {
+			c := a.Build(nq, 3)
+			for _, circ := range []*Circuit{c, c.WithReupload()} {
+				if err := circ.Validate(); err != nil {
+					t.Errorf("%s, %d qubits: %v", circ.Name, nq, err)
+				}
+			}
+		}
+	}
+}
