@@ -45,7 +45,6 @@ func TestAccuracyBound(t *testing.T) {
 			name: "qpinn-sharded",
 			model: func() ModelConfig {
 				m := SmokeModel(QPINN, qsim.StronglyEntangling, qsim.ScaleAcos)
-				m.Engine = qsim.EngineSharded
 				m.Seed = 5
 				return m
 			},

@@ -39,7 +39,6 @@ var goldenRuns = []struct {
 		name: "qpinn-sharded",
 		model: func() ModelConfig {
 			m := SmokeModel(QPINN, qsim.StronglyEntangling, qsim.ScaleAcos)
-			m.Engine = qsim.EngineSharded
 			m.Seed = 5
 			return m
 		},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/qsim"
 	"repro/internal/trace"
@@ -78,6 +79,12 @@ func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 // per-session read path holds exactly one frame at a time, so one buffer per
 // session makes the steady-state read allocation-free.
 //
+// The header's declared length is not trusted with an allocation: a frame
+// larger than the buffer is read in steps of at most readStep bytes, and
+// the buffer grows one step ahead of the bytes actually received. A peer
+// that declares a huge frame and sends nothing costs one step, not the
+// declared size.
+//
 //torq:hotpath
 func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err error) {
 	if cap(*buf) < 8 {
@@ -88,23 +95,31 @@ func readFrameInto(r io.Reader, buf *[]byte) (typ byte, payload []byte, err erro
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < 1 || n > maxFrame {
 		//torq:allow hotalloc -- malformed-frame error path; the connection is torn down
 		return 0, nil, fmt.Errorf("dist: bad frame length %d", n)
 	}
-	if uint32(cap(*buf)) < n {
-		//torq:allow hotalloc -- buffer growth to the session's max frame size, amortized
-		*buf = make([]byte, n)
-	}
 	b := (*buf)[:cap(*buf)]
-	*buf = b
-	b = b[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
+	have := min(n, len(b))
+	if _, err := io.ReadFull(r, b[:have]); err != nil {
 		return 0, nil, err
 	}
-	return b[0], b[1:], nil
+	for have < n {
+		step := min(n-have, readStep)
+		b = slices.Grow(b[:have], step)
+		if _, err := io.ReadFull(r, b[have:have+step]); err != nil {
+			return 0, nil, err
+		}
+		have += step
+	}
+	*buf = b[:cap(b)]
+	return b[0], b[1:n], nil
 }
+
+// readStep bounds how far readFrameInto grows its buffer ahead of the bytes
+// a peer has actually sent.
+const readStep = 1 << 20
 
 // enc builds a payload.
 type enc struct{ b []byte }
@@ -312,7 +327,7 @@ func (d *dec) done() error {
 }
 
 // helloMsg carries the session handshake: the ansatz circuit (from which the
-// worker deterministically recompiles the level-3 program) and the
+// worker deterministically recompiles the program) and the
 // coordinator's program digest, which the worker must reproduce exactly.
 type helloMsg struct {
 	Version     uint16

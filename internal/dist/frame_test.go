@@ -397,10 +397,20 @@ func TestCodecTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestCodecGoldenBytes pins the wire encoding byte for byte: a change to the
-// layout must bump ProtoVersion, and this fixture is what forces that
-// conversation.
-func TestCodecGoldenBytes(t *testing.T) {
+// goldenCase is one wire fixture: a message's encoding and its pinned hex.
+// typ is the frame type; frame reports whether got already carries the
+// 5-byte frame header (the batch encoders emit whole frames).
+type goldenCase struct {
+	name  string
+	typ   byte
+	frame bool
+	got   []byte
+	want  string
+}
+
+// goldenCodecCases builds the fixtures TestCodecGoldenBytes pins.
+// FuzzReadFrame seeds its corpus from the same fixtures.
+func goldenCodecCases() []goldenCase {
 	pass := passMsg{
 		Pass:     0x0102030405060708,
 		FwdPass:  0x1112131415161718,
@@ -428,26 +438,22 @@ func TestCodecGoldenBytes(t *testing.T) {
 		[]resultMsg{{Pass: 2, Shard: 1, Backward: true, DAngles: []float64{0.25}, DTheta: []float64{1}}},
 		[]trace.SpanRec{{ID: 0x5152535455565758, Parent: 0x6162636465666768,
 			Kind: trace.KShard, Shard: 1, Start: 0x0A0B0C0D, End: 0x0A0B0C0E}})
-	cases := []struct {
-		name string
-		got  []byte
-		want string
-	}{
-		{"pass", encodePass(pass),
+	return []goldenCase{
+		{"pass", fPass, false, encodePass(pass),
 			"080706050403020118171615141312112827262524232221383736353433323101010502000000000000000000f03f000000000000e0bf"},
-		{"shard", encodeShard(shard),
+		{"shard", fShard, false, encodeShard(shard),
 			"02000000000000000100000002000000000000000000d03f000000000000e83f0101000000000000000000f83f000100000000010100000000000000000000c0000000"},
 		// The batch encoder emits a complete frame: u32 length (type byte +
 		// 78-byte payload = 0x4f) and the fShardBatch type lead the bytes; the
 		// batch-span id sits between the pass id and the entry count.
-		{"shardBatch", batch,
+		{"shardBatch", fShardBatch, true, batch,
 			"4f00000007" +
 				"0200000000000000" + "4847464544434241" + "02000000" +
 				"0100000001000000000000000000d03f00000000000000" +
 				"0300000001000000000000000000e83f000000010100000000000000000000c0000000"},
 		// The result batch carries the worker's span section after the entries:
 		// u32 count then ID, Parent, Kind, Shard, Start, End per span.
-		{"resultBatch", rbatch,
+		{"resultBatch", fResultBatch, true, rbatch,
 			"5d00000008" +
 				"0200000000000000" + "01" + "01000000" +
 				"0100000000000000" + "0101000000000000000000d03f" + "000000" + "0101000000000000000000f03f" + "00" +
@@ -455,7 +461,13 @@ func TestCodecGoldenBytes(t *testing.T) {
 				"5857565554535251" + "6867666564636261" + "06" + "01000000" +
 				"0d0c0b0a00000000" + "0e0c0b0a00000000"},
 	}
-	for _, c := range cases {
+}
+
+// TestCodecGoldenBytes pins the wire encoding byte for byte: a change to the
+// layout must bump ProtoVersion, and this fixture is what forces that
+// conversation.
+func TestCodecGoldenBytes(t *testing.T) {
+	for _, c := range goldenCodecCases() {
 		if got := hex.EncodeToString(c.got); got != c.want {
 			t.Errorf("%s golden bytes drifted:\n got %s\nwant %s\n(an intentional layout change must bump ProtoVersion)", c.name, got, c.want)
 		}

@@ -6,15 +6,15 @@
 // All entry points dispatch onto a persistent worker pool, so a parallel
 // region costs one synchronization rather than one goroutine spawn per
 // block. For/ForGrain are the per-kernel loops; Run and RunChunk are the
-// region APIs used by the fused and sharded circuit-execution engines to pay
-// a single fork/join for an entire compiled program instead of one per gate.
+// region APIs — the sharded circuit-execution engine uses RunChunk to pay a
+// single fork/join for an entire compiled program instead of one per gate.
 //
 // Regions are scheduled by a chunked work-stealing scheduler: the range is
 // split into chunks, each worker owns a deque seeded with a contiguous span
 // of them, and a worker whose deque runs dry steals the top half of a
 // victim's remaining span. Uniform workloads execute exactly as the old
 // static split did (every chunk is consumed by its seeded owner); irregular
-// workloads — noise trajectories, mixed fused/legacy comparators — no longer
+// workloads — noise trajectories, circuit shards of uneven cost — no longer
 // idle the pool behind the slowest block. SetScheduler(SchedStatic) restores
 // the fixed PR-1 split for A/B measurements.
 //
@@ -465,27 +465,11 @@ func Run(n int, fn func(worker, lo, hi int)) {
 // size is also the unit of stealing, so callers pick it to match their
 // cache-blocked inner loops.
 func RunChunk(n, chunk int, fn func(worker, lo, hi int)) {
-	RunChunkBounded(n, chunk, MaxWorkers(), fn)
-}
-
-// RunChunkBounded is RunChunk with an explicit cap on the worker count in
-// addition to the live bound. Callers that size per-worker accumulator slots
-// from their own MaxWorkers() read pass that same value here: the region
-// otherwise re-reads the bound at entry, and a concurrent SetMaxWorkers
-// increase between the two reads could hand fn a worker id past their slots.
-func RunChunkBounded(n, chunk, bound int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if chunk < 1 {
 		chunk = 1
 	}
-	workers := MaxWorkers()
-	if bound < workers {
-		workers = bound
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	region(n, chunk, workers, CurrentScheduler() != SchedStatic, fn)
+	region(n, chunk, MaxWorkers(), CurrentScheduler() != SchedStatic, fn)
 }

@@ -140,7 +140,7 @@ func (distEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans [][
 
 //torq:ordered-merge
 func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program() // always level 3, like the sharded engine
+	prog := p.Program()
 	spec := &PassSpec{
 		Circ: p.Circ, Prog: prog, Backward: true,
 		N: ws.n, NQ: ws.nq, Block: backwardBlock(ws),
@@ -196,7 +196,7 @@ func (distEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float
 	msp.End()
 }
 
-// ShardRunner executes single shards of a circuit's level-3 program inside a
+// ShardRunner executes single shards of a circuit's compiled program inside a
 // worker process, bit-identically to the corresponding sharded-engine chunk:
 // a shard's per-sample state evolution depends only on its own rows, and its
 // partial accumulators visit samples in the same order whether the shard
@@ -272,7 +272,7 @@ type shardState struct {
 	datView [][]float64
 }
 
-// NewShardRunner compiles circ at level 3 and prepares a per-shard-size
+// NewShardRunner compiles circ and prepares a per-shard-size
 // state cache.
 func NewShardRunner(circ *Circuit) *ShardRunner {
 	r := &ShardRunner{

@@ -52,9 +52,9 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestEngineParity is the decisive cross-engine check: on randomized seeded
 // circuits across every ansatz (with and without data re-uploading), the
-// fused and naive engines must reproduce the legacy per-gate engine's
+// sharded and naive engines must reproduce the legacy per-gate engine's
 // expectations, tangents, and adjoint gradients to tight tolerance. The
-// engines share no kernel code on the fused side (compiled instruction
+// engines share no kernel code on the sharded side (compiled instruction
 // stream with gate fusion vs per-gate sweeps vs dense matrices), so
 // agreement pins the whole compile/execute stack.
 func TestEngineParity(t *testing.T) {
@@ -76,7 +76,7 @@ func TestEngineParity(t *testing.T) {
 			gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 			ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-			for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+			for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 				got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 				check := func(name string, want, have []float64) {
 					if d := maxAbsDiff(want, have); d > tol {
@@ -119,7 +119,7 @@ func TestEngineParityNoTangents(t *testing.T) {
 		return z, dA, dTheta
 	}
 	zL, daL, dtL := run(EngineLegacy)
-	for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		z, da, dt := run(kind)
 		//torq:allow maprange -- independent per-series assertions
 		for name, pair := range map[string][2][]float64{
@@ -133,7 +133,7 @@ func TestEngineParityNoTangents(t *testing.T) {
 }
 
 // TestEngineParityRandomShapes: property-style sweep over random batch
-// sizes, qubit counts and depths, fused vs legacy only (naive is covered
+// sizes, qubit counts and depths, sharded vs legacy only (naive is covered
 // above and is O(4^nq) per gate).
 func TestEngineParityRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
@@ -159,7 +159,7 @@ func TestEngineParityRandomShapes(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 
 		ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-		for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1} {
+		for _, kind := range []EngineKind{EngineSharded} {
 			got := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 			if d := maxAbsDiff(ref.z, got.z); d > 1e-10 {
 				t.Fatalf("trial %d (%v nq=%d L=%d n=%d %v): z diverges by %v", trial, a, nq, layers, n, kind, d)
@@ -197,7 +197,7 @@ func TestEngineParityNilValueGradient(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
 
 	ref := runEngine(EngineLegacy, circ, n, angles, tans, theta, nil, gztans)
-	for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		got := runEngine(kind, circ, n, angles, tans, theta, nil, gztans)
 		if d := maxAbsDiff(ref.dAngles, got.dAngles); d > 1e-10 {
 			t.Errorf("engine=%v: dAngles diverges by %v", kind, d)
@@ -208,18 +208,18 @@ func TestEngineParityNilValueGradient(t *testing.T) {
 	}
 }
 
-// TestEngineParityForcedParallel forces a multi-chunk par.Run region even
-// on single-core hosts, exercising the fused engine's claim that workers on
-// disjoint sample ranges share one workspace race-free (per-worker dTheta
-// partials, per-sample scratch). Run under -race this is the engine's
-// concurrency check.
+// TestEngineParityForcedParallel forces a multi-chunk par.RunChunk region
+// even on single-core hosts, exercising the sharded engine's claim that
+// workers on disjoint sample ranges share one workspace race-free
+// (per-shard dTheta partials, per-sample scratch). Run under -race this is
+// the engine's concurrency check.
 func TestEngineParityForcedParallel(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31337))
 	// Cross-Mesh matters here beyond Strongly-Entangling: its CRZ meshes
-	// compile to fused diagonals whose gradients contract once per worker
-	// per pass — the exact epilogue a multi-call-per-worker scheduler can
-	// double-count (caught live when the stealing scheduler landed).
+	// compile to fused diagonals whose per-shard accumulators merge and
+	// contract once per pass — an epilogue a multi-call-per-worker
+	// scheduler could double-count.
 	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh} {
 		circ := a.Build(4, 3).WithReupload()
 		n, nq := 37, 4 // odd batch: uneven chunks and partial tail blocks
@@ -229,7 +229,7 @@ func TestEngineParityForcedParallel(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), randAngles(rng, n, nq), randAngles(rng, n, nq)}
 
-		for _, kind := range []EngineKind{EngineFused, EngineSharded, EngineFusedV2, EngineFusedV1} {
+		for _, kind := range []EngineKind{EngineSharded} {
 			par.SetMaxWorkers(1)
 			serial := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 			for _, workers := range []int{3, 8} {
@@ -261,9 +261,7 @@ func TestEngineParityForcedParallel(t *testing.T) {
 // distinguishing guarantee: because gradient partials accumulate per shard
 // (a partition fixed by the batch shape alone) and merge in shard order,
 // outputs and gradients are BIT-identical — not merely within tolerance —
-// for every worker bound and both scheduler modes. The fused engine cannot
-// promise this: its per-worker partials make the reduction order follow the
-// worker count.
+// for every worker bound and both scheduler modes.
 func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	defer par.SetMaxWorkers(0)
 	defer par.SetScheduler(par.SchedSteal)
@@ -310,94 +308,18 @@ func TestShardedDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestProgramFusionShrinksStream pins the pass-1 (level-1) fusion wins: the
-// Rot-based ansätze collapse each RZ·RY·RZ triple into one U2 instruction,
-// and Cross-Mesh-2-Rotations fuses its RX·RZ pairs.
-func TestProgramFusionShrinksStream(t *testing.T) {
-	cases := []struct {
-		ansatz AnsatzKind
-		nq, l  int
-		want   int // embed ops + fused gate ops
-	}{
-		// 7 embeds + per layer (7 fused Rot + 7 CNOT) = 7 + 4*14
-		{StronglyEntangling, 7, 4, 7 + 4*14},
-		{BasicEntangling, 7, 4, 7 + 4*14},
-		// 7 embeds + per layer (7 fused RX·RZ + 42 CRZ) = 7 + 4*49
-		{CrossMesh2Rot, 7, 4, 7 + 4*49},
-		// No fusion opportunities: 7 embeds + per layer (7 RX + 42 CRZ)
-		{CrossMesh, 7, 4, 7 + 4*49},
-		// 7 embeds + per layer 7 fused Rots
-		{NoEntanglement, 7, 4, 7 + 4*7},
-	}
-	for _, c := range cases {
-		prog := CompileProgramV1(c.ansatz.Build(c.nq, c.l))
-		if got := prog.NumInstructions(); got != c.want {
-			t.Errorf("%v: %d instructions, want %d", c.ansatz, got, c.want)
-		}
-	}
-	// Fusion must not cross embedding boundaries under re-uploading.
-	reup := CompileProgramV1(StronglyEntangling.Build(7, 4).WithReupload())
-	if got, want := reup.NumInstructions(), 4*(7+14); got != want {
-		t.Errorf("reupload: %d instructions, want %d", got, want)
-	}
-}
-
-// TestProgramV2GoldenCounts pins the level-2 entangler-fusion wins per
-// ansatz so a fusion regression fails loudly. The hand-derived structure at
-// 7 qubits, 4 layers:
-//   - CrossMesh / CrossMesh2Rot: each layer's 42-CRZ mesh collapses into ONE
-//     full-register diagonal: 1 embed + 4·(7 rotations + 1 diagonal) = 33.
-//   - BasicEntangling: each CNOT chain absorbs the neighbouring rotations
-//     into 4×4 blocks: 1 + 4·(6 U4 + 1 lone CNOT) = 29.
-//   - StronglyEntangling: as above, but the growing control-target gap lets
-//     trailing lone CNOTs absorb the next layer's leading rotations
-//     (cross-layer fusion), landing at 26.
-//   - CrossMeshCNOT: the all-pairs CNOT mesh only pair-fuses its first
-//     sweep: 1 + 4·(6 U4 + 36 CNOT) = 169.
-//   - NoEntanglement: only the embedding fuses: 1 + 4·7 = 29.
-//   - Re-uploading StronglyEntangling: embedding barriers stop cross-layer
-//     fusion: 4·(1 embed + 7 blocks) = 32.
-func TestProgramV2GoldenCounts(t *testing.T) {
-	cases := []struct {
-		ansatz AnsatzKind
-		reup   bool
-		want   int
-	}{
-		{CrossMesh, false, 33},
-		{CrossMesh2Rot, false, 33},
-		{CrossMeshCNOT, false, 169},
-		{NoEntanglement, false, 29},
-		{BasicEntangling, false, 29},
-		{StronglyEntangling, false, 26},
-		{StronglyEntangling, true, 32},
-		{CrossMesh, true, 36},
-	}
-	for _, c := range cases {
-		circ := c.ansatz.Build(7, 4)
-		if c.reup {
-			circ = circ.WithReupload()
-		}
-		prog := CompileProgramV2(circ)
-		if got := prog.NumInstructions(); got != c.want {
-			t.Errorf("%v reupload=%v: %d instructions, want %d", c.ansatz, c.reup, got, c.want)
-		}
-		if prog.Level() != 2 {
-			t.Errorf("%v: CompileProgramV2 level = %d, want 2", c.ansatz, prog.Level())
-		}
-	}
-}
-
-// TestProgramV3GoldenCounts pins the level-3 fusion wins at 7 qubits,
-// 4 layers. Relative to the level-2 stream:
+// TestProgramV3GoldenCounts pins the compiler's fusion wins at 7 qubits,
+// 4 layers, against what pair fusion alone (4×4 blocks, one full-register
+// diagonal per mesh) would leave:
 //   - CrossMesh / CrossMesh2Rot: each layer's 7-rotation wall in front of
 //     the fused diagonal mesh groups into two U2x3 triples + one U2:
 //     1 + 4·(3 + 1 diagonal) = 17 (the ROADMAP target was ≤ 20).
 //   - CrossMeshCNOT: the all-pairs CNOT mesh collapses 169 → 105 — the 147
-//     surviving bare CNOTs become 64 zero-arithmetic basis permutations
-//     (consecutive CNOTs sharing a control, two per opPerm8) plus 16 lone
-//     CNOTs, while the rotation-bearing sweeps stay as 4×4 blocks (the cost
-//     gate keeps them out of dense 8×8 form, which would cost more than the
-//     instructions it absorbs).
+//     bare CNOTs pair fusion leaves become 64 zero-arithmetic basis
+//     permutations (consecutive CNOTs sharing a control, two per opPerm8)
+//     plus 16 lone CNOTs, while the rotation-bearing sweeps stay as 4×4
+//     blocks (the cost gate keeps them out of dense 8×8 form, which would
+//     cost more than the instructions it absorbs).
 //   - NoEntanglement: the 28 fused rotations group into 9 triples + 1: 11.
 //   - BasicEntangling / StronglyEntangling: cyclic CNOT chains offer only
 //     the occasional cost-justified triple: 29 → 27, 26 → 25.
@@ -427,14 +349,14 @@ func TestProgramV3GoldenCounts(t *testing.T) {
 		if got := prog.NumInstructions(); got != c.want {
 			t.Errorf("%v reupload=%v: %d instructions, want %d", c.ansatz, c.reup, got, c.want)
 		}
-		if prog.Level() != 3 {
-			t.Errorf("%v: CompileProgram level = %d, want 3", c.ansatz, prog.Level())
+		if d := prog.Digest(); d.Level != 3 {
+			t.Errorf("%v: digest level = %d, want 3", c.ansatz, d.Level)
 		}
 	}
-	// The acceptance bar this PR was cut against: Cross-Mesh at 7q/4L must
-	// compile to at most 20 instructions under level 3.
+	// The acceptance bar three-qubit fusion was cut against: Cross-Mesh at
+	// 7q/4L must compile to at most 20 instructions.
 	if got := CompileProgram(CrossMesh.Build(7, 4)).NumInstructions(); got > 20 {
-		t.Errorf("CrossMesh level-3 instruction count %d exceeds the ≤20 target", got)
+		t.Errorf("CrossMesh instruction count %d exceeds the ≤20 target", got)
 	}
 }
 
@@ -462,8 +384,26 @@ func TestEngineKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseEngine error %q omits engine %q", err, k)
 		}
 	}
-	if k, err := ParseEngine(""); err != nil || k != EngineFused {
-		t.Error("empty engine string should default to fused")
+	if k, err := ParseEngine(""); err != nil || k != EngineSharded {
+		t.Error("empty engine string should default to sharded")
+	}
+	var zero EngineKind
+	if zero != EngineSharded {
+		t.Errorf("zero-value engine is %v, want sharded", zero)
+	}
+	if got, want := EngineNames(), "sharded|dist|legacy|naive"; got != want {
+		t.Errorf("EngineNames() = %q, want %q", got, want)
+	}
+	// The retired fused executors must fail loudly, naming what remains.
+	for _, retired := range []string{"fused", "fused1", "fused2"} {
+		_, err := ParseEngine(retired)
+		if err == nil {
+			t.Errorf("ParseEngine accepted retired engine %q", retired)
+			continue
+		}
+		if !strings.Contains(err.Error(), EngineNames()) {
+			t.Errorf("ParseEngine(%q) error %q omits the registered names %s", retired, err, EngineNames())
+		}
 	}
 }
 
@@ -492,7 +432,7 @@ func TestU2LogDerivFastPath(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineFused}
+		pqc := &PQC{Circ: circ, Eng: EngineSharded}
 		prog := pqc.Program()
 		flagged := 0
 		for i := range prog.ins {
@@ -585,7 +525,7 @@ func TestU4LogDerivFastPath(t *testing.T) {
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 
 	run := func(logDeriv bool) engineResult {
-		pqc := &PQC{Circ: circ, Eng: EngineFused}
+		pqc := &PQC{Circ: circ, Eng: EngineSharded}
 		prog := pqc.Program()
 		flagged := 0
 		for i := range prog.ins {

@@ -13,7 +13,7 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 	dim := 1 << p.circ.NumQubits
 	u := eye(dim)
 	for _, in := range p.ins {
-		if in.op == opEmbed || in.op == opEmbedAll {
+		if in.op == opEmbedAll {
 			continue
 		}
 		u = p.instrMatrix(in, coeff).mul(u)
@@ -21,9 +21,9 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 	return u
 }
 
-// TestProgramNetUnitaryOracle is the compiler-level parity oracle: at every
-// fusion level, the composed dense matrix of the compiled instruction
-// stream must equal the gate-by-gate dense product of the source circuit.
+// TestProgramNetUnitaryOracle is the compiler-level parity oracle: the
+// composed dense matrix of the compiled instruction stream must equal the
+// gate-by-gate dense product of the source circuit.
 // This pins every fusion pass — single-qubit runs, diagonal merges, 4×4/8×8
 // entangler blocks, grouped triples, full-register diagonals — independently
 // of the execution kernels.
@@ -37,20 +37,18 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 		for _, g := range circ.Gates {
 			ref = expand(g, theta, circ.NumQubits).mul(ref)
 		}
-		for _, level := range []int{1, 2, 3} {
-			prog := CompileProgramLevel(circ, level)
-			coeff := make([]float64, prog.NumCoeffs())
-			prog.FillCoeffs(theta, coeff)
-			got := progNetMatrix(prog, coeff)
-			var maxd float64
-			for i := range ref.data {
-				if d := cmplx.Abs(got.data[i] - ref.data[i]); d > maxd {
-					maxd = d
-				}
+		prog := CompileProgram(circ)
+		coeff := make([]float64, prog.NumCoeffs())
+		prog.FillCoeffs(theta, coeff)
+		got := progNetMatrix(prog, coeff)
+		var maxd float64
+		for i := range ref.data {
+			if d := cmplx.Abs(got.data[i] - ref.data[i]); d > maxd {
+				maxd = d
 			}
-			if maxd > 1e-12 {
-				t.Errorf("%v level=%d: net unitary diverges from gate product by %v", a, level, maxd)
-			}
+		}
+		if maxd > 1e-12 {
+			t.Errorf("%v: net unitary diverges from gate product by %v", a, maxd)
 		}
 	}
 }
@@ -60,60 +58,57 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 // fused unitary instruction, dU/dθ_p from FillDerivCoeffs must match
 // (U(θ+ε) − U(θ−ε)) / 2ε. For the Kronecker-structured triples only the
 // parameter's own 2×2 factor moves, so the comparison targets that factor's
-// slot window. Runs at both fused compile levels so the 4×4-only and the
-// 8×8/triple instruction mixes are each exercised.
+// slot window. The ansätze cover the 4×4, 8×8 and triple instruction mixes.
 func TestProgramDerivCoeffsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const eps = 1e-6
 	for _, a := range []AnsatzKind{StronglyEntangling, CrossMesh2Rot, CrossMeshCNOT} {
-		for _, level := range []int{2, 3} {
-			circ := a.Build(4, 2)
-			theta := randTheta(rng, circ.NumParams)
-			prog := CompileProgramLevel(circ, level)
-			deriv := make([]float64, prog.nderiv)
-			plus := make([]float64, prog.ncoef)
-			minus := make([]float64, prog.ncoef)
-			prog.FillDerivCoeffs(theta, deriv)
-			tweak := append([]float64(nil), theta...)
-			for _, in := range prog.ins {
-				if in.op == opU2x3 && in.logDeriv {
-					continue // no derivative slots: the adjoint reads the states
-				}
-				var width int
-				switch in.op {
-				case opU2, opU2x3:
-					width = 8
-				case opU4:
-					width = 32
-				case opU8:
-					width = 128
-				default:
-					continue
-				}
-				// Factor slot offset per parameter: zero except for triples,
-				// where each parameter differentiates its own factor.
-				offs := make([]int, len(in.params))
-				if in.op == opU2x3 {
-					pi := 0
-					for _, g := range in.gates {
-						if g.P >= 0 {
-							offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
-							pi++
-						}
+		circ := a.Build(4, 2)
+		theta := randTheta(rng, circ.NumParams)
+		prog := CompileProgram(circ)
+		deriv := make([]float64, prog.nderiv)
+		plus := make([]float64, prog.ncoef)
+		minus := make([]float64, prog.ncoef)
+		prog.FillDerivCoeffs(theta, deriv)
+		tweak := append([]float64(nil), theta...)
+		for _, in := range prog.ins {
+			if in.op == opU2x3 && in.logDeriv {
+				continue // no derivative slots: the adjoint reads the states
+			}
+			var width int
+			switch in.op {
+			case opU2, opU2x3:
+				width = 8
+			case opU4:
+				width = 32
+			case opU8:
+				width = 128
+			default:
+				continue
+			}
+			// Factor slot offset per parameter: zero except for triples,
+			// where each parameter differentiates its own factor.
+			offs := make([]int, len(in.params))
+			if in.op == opU2x3 {
+				pi := 0
+				for _, g := range in.gates {
+					if g.P >= 0 {
+						offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
+						pi++
 					}
 				}
-				for pi, p := range in.params {
-					tweak[p] = theta[p] + eps
-					prog.FillCoeffs(tweak, plus)
-					tweak[p] = theta[p] - eps
-					prog.FillCoeffs(tweak, minus)
-					tweak[p] = theta[p]
-					for i := 0; i < width; i++ {
-						fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
-						an := deriv[in.dslot+width*pi+i]
-						if math.Abs(fd-an) > 1e-8 {
-							t.Fatalf("%v level=%d op=%d param %d coeff %d: analytic %v vs finite-diff %v", a, level, in.op, p, i, an, fd)
-						}
+			}
+			for pi, p := range in.params {
+				tweak[p] = theta[p] + eps
+				prog.FillCoeffs(tweak, plus)
+				tweak[p] = theta[p] - eps
+				prog.FillCoeffs(tweak, minus)
+				tweak[p] = theta[p]
+				for i := 0; i < width; i++ {
+					fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
+					an := deriv[in.dslot+width*pi+i]
+					if math.Abs(fd-an) > 1e-8 {
+						t.Fatalf("%v op=%d param %d coeff %d: analytic %v vs finite-diff %v", a, in.op, p, i, an, fd)
 					}
 				}
 			}
@@ -121,12 +116,11 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 	}
 }
 
-// TestProgramDiagCommutationAbsorb pins the level-3 commutation-aware
-// diagonal absorption: diagonal instructions separated by blocks with
-// disjoint support merge into one full-register diagonal (the level-2 pass
-// only fuses consecutive runs), while a blocker touching the diagonal's
-// support keeps it out of the group. Both the instruction shapes and full
-// numerical parity against the legacy engine are checked.
+// TestProgramDiagCommutationAbsorb pins the commutation-aware diagonal
+// absorption: diagonal instructions separated by blocks with disjoint
+// support merge into one full-register diagonal, while a blocker touching
+// the diagonal's support keeps it out of the group. Both the instruction
+// shapes and full numerical parity against the legacy engine are checked.
 func TestProgramDiagCommutationAbsorb(t *testing.T) {
 	// CRZ(0→1), CNOT(2→3), RZ(0), CRZ(0→1): the CNOT's support {2,3} is
 	// disjoint from every diagonal's support, so all three diagonals commute
@@ -154,9 +148,6 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 	}
 	if dn == nil || len(dn.params) != 3 {
 		t.Fatalf("expected one fused diagonal absorbing all 3 parameters, got %+v", dn)
-	}
-	if v2 := CompileProgramV2(circ).NumInstructions(); v2 != 4 {
-		t.Fatalf("level-2 baseline: %d instructions, want 4 (no non-adjacent fusion)", v2)
 	}
 
 	// RZ(0), CNOT(0→1), RZ(0): the CNOT touches qubit 0, so the diagonals
@@ -189,7 +180,7 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 		gz := randAngles(rng, n, nq)
 		gztans := [][]float64{randAngles(rng, n, nq), nil, nil}
 		ref := runEngine(EngineLegacy, c, n, angles, tans, theta, gz, gztans)
-		for _, kind := range []EngineKind{EngineFused, EngineFusedV2, EngineNaive} {
+		for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 			got := runEngine(kind, c, n, angles, tans, theta, gz, gztans)
 			//torq:allow maprange -- independent per-series assertions
 			for name, pair := range map[string][2][]float64{
@@ -298,7 +289,7 @@ func TestProgramDenseTripleBlock(t *testing.T) {
 	gz := randAngles(rng, n, nq)
 	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
 	refRes := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	for _, kind := range []EngineKind{EngineFused, EngineFusedV2, EngineNaive} {
+	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
 		gotRes := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
 		//torq:allow maprange -- independent per-series assertions
 		for name, pair := range map[string][2][]float64{

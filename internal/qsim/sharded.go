@@ -2,20 +2,21 @@ package qsim
 
 import "repro/internal/par"
 
-// shardedEngine executes the level-3 compiled program as independent sample
-// shards behind the same Engine seam as the fused executor. The batch is
-// partitioned into fixed cache-resident shards — the partition depends only
-// on the batch size and channel count, never on the worker bound — and each
-// shard streams the whole instruction stream on the work-stealing scheduler
-// (par.RunChunk), so shards with uneven cost rebalance across the pool
-// instead of idling it. Every shard owns a private gradient accumulator;
-// after the adjoint pass the shard partials merge in shard-index order, so
-// dTheta is bit-identical for 1 and N workers and for both scheduler modes.
+// shardedEngine executes the compiled program as independent sample shards;
+// it is the default engine and the only in-process program executor. The
+// batch is partitioned into fixed cache-resident shards — the partition
+// depends only on the batch size and channel count, never on the worker
+// bound — and each shard streams the whole instruction stream on the
+// work-stealing scheduler (par.RunChunk), so shards with uneven cost
+// rebalance across the pool instead of idling it. Every shard owns a
+// private gradient accumulator; after the adjoint pass the shard partials
+// merge in shard-index order, so dTheta is bit-identical for 1 and N
+// workers and for both scheduler modes.
 //
-// The shard is also the distribution unit the ROADMAP's multi-process /
-// remote executor will ship: its inputs are (coefficients, sample range) and
-// its outputs are (z rows, per-shard gradient partials), with the same
-// deterministic shard-order merge on the coordinator.
+// The shard is also the distribution unit the dist engine ships to worker
+// processes: its inputs are (coefficients, sample range) and its outputs are
+// (z rows, per-shard gradient partials), with the same deterministic
+// shard-order merge on the coordinator.
 type shardedEngine struct{}
 
 func (shardedEngine) Kind() EngineKind { return EngineSharded }
@@ -34,7 +35,7 @@ func (shardedEngine) Forward(p *PQC, ws *Workspace, angles []float64, angleTans 
 
 //torq:ordered-merge
 func (shardedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]float64, dAngles []float64, dAngleTans [][]float64, dTheta []float64) {
-	prog := p.Program() // always level 3 for the sharded engine
+	prog := p.Program()
 	n := ws.n
 	np := p.Circ.NumParams
 	ws.ensureScratch()
@@ -43,10 +44,10 @@ func (shardedEngine) Backward(p *PQC, ws *Workspace, gz []float64, gztans [][]fl
 	blk := prepBackward(ws, gz, gztans)
 	ns := shardCount(n, blk)
 
-	// Per-shard accumulators, flat with fixed strides. Unlike the fused
-	// engine's per-worker slots these are indexed by shard, so the
-	// accumulation sites — and therefore the floating-point reduction order —
-	// are pinned by the shard partition alone.
+	// Per-shard accumulators, flat with fixed strides. They are indexed by
+	// shard, never by worker, so the accumulation sites — and therefore the
+	// floating-point reduction order — are pinned by the shard partition
+	// alone.
 	if cap(ws.dthS) < ns*np {
 		ws.dthS = make([]float64, ns*np)
 	}
