@@ -113,7 +113,8 @@ func BenchmarkTable2TorQEpoch(b *testing.B) {
 
 // BenchmarkTorqEpochSharded / Legacy are the engine A/B pair: identical
 // workload on the sharded work-stealing executor over the compiled program
-// (three-qubit super-ops, commutation-aware diagonals, grouped triples) and
+// (4×4 entangler blocks, CNOT-mesh permutations, commutation-aware
+// diagonals) and
 // on the original one-parallel-sweep-per-gate execution. The recorded
 // ratios live in BENCH_engine.json.
 func BenchmarkTorqEpochSharded(b *testing.B) {

@@ -49,6 +49,11 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve the live observability plane (/metrics, /trace, /ftdc, /healthz, /debug/pprof) on this address and enable span tracing; results stay bit-identical")
 	)
 	flag.Parse()
+	if *qubits < 1 || *qlayers < 0 {
+		fmt.Fprintf(os.Stderr, "qpinn-train: -qubits must be at least 1 and -qlayers at least 0 (got %d and %d)\n", *qubits, *qlayers)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var rec *ftdc.Recorder
 	if *ftdcDump != "" || *autotune || *debugAddr != "" {

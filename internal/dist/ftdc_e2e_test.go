@@ -36,7 +36,9 @@ func TestFTDCCapturesDistTrainingEpoch(t *testing.T) {
 	ftdc.StandardSources(rec)
 	rec.Start()
 
-	dist.Configure(dist.Options{Workers: 2})
+	// Affinity is pinned on: the assertions below read its series, and the
+	// options must not be inherited from TORQ_DIST_AFFINITY.
+	dist.Configure(dist.Options{Workers: 2, Affinity: 1})
 	trainEpochs(t, qsim.EngineDist, 2)
 
 	// With two workers, affinity hits race against work stealing (a fast
@@ -47,7 +49,7 @@ func TestFTDCCapturesDistTrainingEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const an, anq = 40, 4
 	acirc := qsim.BasicEntangling.Build(anq, 2)
-	dist.Configure(dist.Options{Workers: 1})
+	dist.Configure(dist.Options{Workers: 1, Affinity: 1})
 	runPass(qsim.EngineDist, acirc, an,
 		randRows(rng, an*anq), nil, randRows(rng, acirc.NumParams), randRows(rng, an*anq), nil)
 

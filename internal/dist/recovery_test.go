@@ -94,8 +94,9 @@ func TestDistAffinityCacheServesBackward(t *testing.T) {
 	circ := qsim.CrossMesh.Build(nq, 2)
 
 	// One worker: with several, work stealing legitimately routes shards
-	// away from their forward owner and the hook would misfire.
-	dist.Configure(dist.Options{Workers: 1})
+	// away from their forward owner and the hook would misfire. Affinity is
+	// pinned on rather than inherited from TORQ_DIST_AFFINITY.
+	dist.Configure(dist.Options{Workers: 1, Affinity: 1})
 	for round := 0; round < 2; round++ {
 		angles := randRows(rng, n*nq)
 		theta := randRows(rng, circ.NumParams)

@@ -215,6 +215,34 @@ func TestRegistryCount(t *testing.T) {
 	}
 }
 
+// TestQuantumLayerWithoutAnsatzLayers: a circuit of zero ansatz layers (the
+// embedding alone, as `qpinn-train -qlayers 0` builds) has an empty theta,
+// which a training step must bind, backpropagate and pull without a panic.
+func TestQuantumLayerWithoutAnsatzLayers(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	reg := &Registry{}
+	layers := []Layer{
+		NewDense(reg, rng, "adapter", 3, 2, true),
+		NewQuantum(reg, rng, qsim.StronglyEntangling.Build(2, 0), qsim.ScaleNone, qsim.InitRegular, qsim.EngineSharded),
+		NewDense(reg, rng, "out", 2, 2, false),
+	}
+	n := 3
+	coords := make([]float64, n*3)
+	for i := range coords {
+		coords[i] = rng.Float64() - 0.5
+	}
+	tp := ad.NewTape()
+	tp.Backward(hybridForward(tp, reg, layers, coords, n, true))
+	reg.PullGrads()
+	var norm float64
+	for _, g := range reg.Params[0].Grad {
+		norm += g * g
+	}
+	if norm == 0 || math.IsNaN(norm) {
+		t.Fatalf("adapter gradient through an embedding-only circuit is %v", norm)
+	}
+}
+
 // TestTrigControlLayer: the §6.2(b) control must (a) carry no parameters,
 // (b) produce cos(scale(a)) exactly, and (c) propagate exact tangents.
 func TestTrigControlLayer(t *testing.T) {

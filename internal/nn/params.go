@@ -61,7 +61,7 @@ func (r *Registry) Bind(tp *ad.Tape, trainable bool) {
 func (r *Registry) PullGrads() {
 	for _, p := range r.Params {
 		g := p.leaf.Grad()
-		if g == nil {
+		if g == nil && len(p.W) > 0 { // an empty parameter has no gradient buffer
 			panic(fmt.Sprintf("nn: PullGrads on non-trainable bind (%s)", p.Name))
 		}
 		copy(p.Grad, g)

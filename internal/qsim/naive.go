@@ -356,17 +356,6 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 				m.data[row*dim+col] = complex(u[(lr*4+lc)*2], u[(lr*4+lc)*2+1])
 			}
 		}
-	case opU8:
-		u := coeff[in.slot : in.slot+128]
-		qa, qb, qc := in.q, in.c, in.q2
-		for col := 0; col < dim; col++ {
-			lc := (col>>qa)&1 | ((col>>qb)&1)<<1 | ((col>>qc)&1)<<2
-			base := col &^ (1<<qa | 1<<qb | 1<<qc)
-			for lr := 0; lr < 8; lr++ {
-				row := base | (lr&1)<<qa | ((lr>>1)&1)<<qb | (lr>>2)<<qc
-				m.data[row*dim+col] = complex(u[(lr*8+lc)*2], u[(lr*8+lc)*2+1])
-			}
-		}
 	case opPerm8:
 		qa, qb, qc := in.q, in.c, in.q2
 		for col := 0; col < dim; col++ {
@@ -374,17 +363,6 @@ func (p *Program) instrMatrix(in instr, coeff []float64) cmat {
 			lr := int(in.perm[lc])
 			row := col&^(1<<qa|1<<qb|1<<qc) | (lr&1)<<qa | ((lr>>1)&1)<<qb | (lr>>2)<<qc
 			m.data[row*dim+col] = 1
-		}
-	case opU2x3:
-		u := coeff[in.slot : in.slot+24]
-		m = eye(dim)
-		for f, q := range [3]int{in.q, in.c, in.q2} {
-			mf := newCmat(dim)
-			place1Q(mf, q, [2][2]complex128{
-				{complex(u[f*8], u[f*8+1]), complex(u[f*8+2], u[f*8+3])},
-				{complex(u[f*8+4], u[f*8+5]), complex(u[f*8+6], u[f*8+7])},
-			})
-			m = mf.mul(m)
 		}
 	case opDiagN:
 		u := coeff[in.slot : in.slot+2*dim]

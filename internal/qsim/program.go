@@ -15,7 +15,7 @@ import (
 // sequence end to end. Gate lowering fuses runs of adjacent single-qubit
 // gates on the same qubit into a single 2×2 unitary, collapses all-diagonal
 // runs (RZ chains) into one phase pair, and merges consecutive CRZ gates
-// sharing a control/target pair. Three fusion passes follow.
+// sharing a control/target pair. Two fusion passes follow.
 //
 // Diagonal absorption is commutation-aware: a group of diagonal
 // instructions — CRZ meshes, whatever their control/target pairs — may
@@ -27,16 +27,13 @@ import (
 // compile time.
 //
 // Block fusion greedily absorbs the neighbouring single-qubit runs of each
-// two-qubit gate into a fused 4×4 super-op (opU4), and grows a pair block to
-// a qubit triple when a two-qubit instruction shares one of its qubits: a
-// cost-gated dense 8×8 super-op (opU8), or a zero-arithmetic basis
-// permutation (opPerm8) for CNOT-only blocks, which collapses the all-pairs
-// CNOT sweeps pair fusion would leave as bare instructions. Finally,
-// leftover runs of single-qubit instructions on distinct qubits are grouped
-// three at a time into a Kronecker-structured triple (opU2x3) that applies
-// all three 2×2 factors in one pass over each 8-amplitude group — same
-// arithmetic as three separate applications, one third of the memory passes
-// and dispatches.
+// two-qubit gate into a fused 4×4 super-op (opU4), and grows a CNOT-only
+// pair to a qubit triple when another bare CNOT shares one of its qubits:
+// a zero-arithmetic basis permutation (opPerm8) that collapses the all-pairs
+// CNOT sweeps pair fusion would leave as bare instructions. Single-qubit runs
+// no block absorbs stay as opU2/opDiag; an opU2 whose source is one
+// parametrized rotation is flagged for the log-derivative adjoint
+// (markU2LogDeriv).
 //
 // Instruction operands live in coefficient slots that are refreshed from
 // theta once per pass — per-gate trigonometry is paid once per program
@@ -57,8 +54,8 @@ const (
 	opCtrlDiag                   // diag(p0, p1) on Q over control-set C; 4 floats
 	opU4                         // 4×4 unitary on qubit pair (Q=low, C=high); 32 floats
 	opDiagN                      // full-register diagonal; 2·dim floats
-	opU8                         // 8×8 unitary on triple (Q<C<Q2); 128 floats
-	opU2x3                       // three independent 2×2 factors on (Q, C, Q2); 24 floats
+	_                            // 8: retired dense 8×8 block
+	_                            // 9: retired single-qubit triple
 	opPerm8                      // compile-time basis permutation on (Q, C, Q2); no floats
 )
 
@@ -69,7 +66,7 @@ const (
 type instr struct {
 	op     opcode
 	q, c   int // primary/secondary qubit (meaning depends on op; -1 unused)
-	q2     int // third qubit of three-qubit ops (q < c < q2); 0 otherwise
+	q2     int // opPerm8: third qubit of the triple (q < c < q2); 0 otherwise
 	slot   int
 	dslot  int
 	tslot  int      // opDiagN: index of this instr's gradient accumulator
@@ -80,10 +77,10 @@ type instr struct {
 	// opPerm8: the permutation's non-trivial cycles and their inverses, so
 	// the kernels rotate only the amplitudes that actually move.
 	cycles, invCycles [][]uint8
-	// opU2x3: every factor is a single parametrized rotation, so the
-	// adjoint can read each gradient off the recovered states through the
-	// factor's logarithmic derivative (dU/dθ = U·dlogU) instead of
-	// accumulating 2×2 adjoint outer products.
+	// opU2: the source is a single parametrized rotation, so the adjoint
+	// reads its gradient off the recovered states through the rotation's
+	// logarithmic derivative (dU/dθ = U·dlogU) instead of accumulating a 2×2
+	// adjoint outer product (see revU2LogDerivRange).
 	logDeriv bool
 }
 
@@ -106,8 +103,7 @@ const digestLevel = 3
 
 // CompileProgram lowers circ (and its embedding placement, honouring data
 // re-uploading) into a fused program: commutation-aware diagonal
-// absorption, pair and three-qubit entangler super-ops, and grouped
-// single-qubit triples.
+// absorption, pair entangler super-ops and CNOT-mesh permutations.
 func CompileProgram(circ *Circuit) *Program {
 	p := &Program{circ: circ}
 	if circ.Reupload && circ.Layers > 0 {
@@ -121,9 +117,7 @@ func CompileProgram(circ *Circuit) *Program {
 	}
 	p.fuseDiagGroups()
 	p.fuseBlocks()
-	p.fuseSingleTriples()
 	p.markU2LogDeriv()
-	p.markU4LogDeriv()
 	p.layout()
 	return p
 }
@@ -141,76 +135,6 @@ func (p *Program) markU2LogDeriv() {
 			in.logDeriv = true
 		}
 	}
-}
-
-// markU4LogDeriv flags the opU4 entangler blocks whose single parametrized
-// source gate is a single-qubit rotation that commutes with everything fused
-// before it. Writing the block U = A·G(θ)·B with [B, dlogG] = 0 gives
-// dU/dθ = A·G·dlogG·B = U·(B†·dlogG·B), so
-// Re⟨λ_post, dU·ψ_pre⟩ = Re⟨λ_pre, dlogG·ψ_pre⟩ — the gradient reads off
-// the states the one U† traversal recovers anyway, with no 4×4 adjoint
-// outer product and no derivative-slot contraction (see revU4LogDerivRange).
-// The commutation condition only involves gates fused *before* G; blocks
-// where the rotation leads (the common wall-then-entangle layering) qualify
-// unconditionally. Like opU2 — and unlike opU2x3 — the derivative slots stay
-// allocated so tests can clear the flag and replay the dense outer-product
-// oracle on the same program.
-func (p *Program) markU4LogDeriv() {
-	for i := range p.ins {
-		in := &p.ins[i]
-		if in.op != opU4 {
-			continue
-		}
-		pi := -1
-		for gi, g := range in.gates {
-			if g.P >= 0 {
-				if pi >= 0 {
-					pi = -1
-					break
-				}
-				pi = gi
-			}
-		}
-		if pi < 0 || !isSingleQubit(in.gates[pi]) {
-			continue
-		}
-		ok := true
-		for _, b := range in.gates[:pi] {
-			if !commutesWithGenerator(b, in.gates[pi]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			in.logDeriv = true
-		}
-	}
-}
-
-// commutesWithGenerator reports whether gate b commutes with the Pauli
-// generator of the single-qubit rotation g (σ ∈ {X, Y, Z} on qubit g.Q).
-// Conservative: false only means the fast path is skipped, never a wrong
-// gradient.
-func commutesWithGenerator(b, g Gate) bool {
-	switch b.Kind {
-	case RX, RY, RZ:
-		// Disjoint supports always commute; same-qubit rotations share a
-		// generator only on the same axis.
-		return b.Q != g.Q || b.Kind == g.Kind
-	case CNOT:
-		if b.Q != g.Q && b.C != g.Q {
-			return true
-		}
-		// CNOT = |0⟩⟨0|_c⊗I + |1⟩⟨1|_c⊗X_t commutes with X on its target
-		// and Z on its control; every other Pauli on its qubits anticommutes
-		// with one of the two projector branches.
-		return (b.Q == g.Q && g.Kind == RX) || (b.C == g.Q && g.Kind == RZ)
-	case CRZ:
-		// Diagonal: commutes with Z generators anywhere, and with anything
-		// off its own support.
-		return g.Kind == RZ || (b.Q != g.Q && b.C != g.Q)
-	}
-	return false
 }
 
 // NumInstructions reports the fused instruction stream length (embedding ops
@@ -468,41 +392,15 @@ func (p *Program) fuseDiagGroups() {
 	p.ins = out
 }
 
-// instrCost is a rough per-amplitude execution-cost model (complex-multiply
-// units) used to decide whether collapsing a three-qubit block into a dense
-// 8×8 super-op pays: the dense forward costs 8 units per amplitude, so a
-// block is only worth densifying when the instructions it replaces cost at
-// least as much. CNOTs count 1 (a pure memory pass), diagonals 1, generic
-// 2×2 unitaries 2.
-func instrCost(op opcode) int {
-	switch op {
-	case opU2:
-		return 2
-	default: // opDiag, opCtrlDiag, opCNOT
-		return 1
-	}
-}
-
-// u8FuseCost is the minimum summed instrCost a mixed three-qubit block must
-// replace before it is densified into an opU8. Below it, the dense 8×8
-// forward (8 units/amp) and its K-outer-product adjoint would cost more
-// than the instructions it absorbs, so the pass leaves the pair fusion in
-// place instead. Pure-CNOT blocks are exempt: they compile to a
-// zero-arithmetic basis permutation (opPerm8), which is cheaper than the
-// swap passes it replaces at any size.
-const u8FuseCost = 10
-
 // fuseBlocks greedily fuses each two-qubit instruction with the neighbouring
 // single-qubit runs on its qubits — and with adjacent two-qubit instructions
-// sharing its qubits — into one super-op over at most three qubits: a pair
-// block is a 4×4 super-op (opU4), and a two-qubit instruction that shares
-// one qubit with an open pair block may extend the block to a qubit triple, which is what collapses all-pairs
-// CNOT meshes: consecutive CNOTs sharing a control land in one three-qubit
-// block. Growth is gated by a cost model: CNOT-only blocks always grow
-// (they emit as a compile-time basis permutation, opPerm8, one pass and no
-// arithmetic), while mixed blocks grow only when the instructions they
-// absorb cost at least as much as the dense 8×8 super-op (opU8) that
-// replaces them.
+// sharing its qubits — into one super-op: a pair block is a 4×4 super-op
+// (opU4). A CNOT-only block may grow to a qubit triple when another bare
+// CNOT shares one of its qubits, which is what collapses all-pairs CNOT
+// meshes: consecutive CNOTs sharing a control land in one three-qubit block,
+// emitted as a compile-time basis permutation (opPerm8) — one pass and no
+// arithmetic. Anything else touching a triple closes it, so a triple never
+// carries a rotation or a diagonal.
 //
 // A fused block stays open while the stream touches none of its qubits; any
 // instruction touching some but not all of the qubits it needs closes it.
@@ -519,7 +417,6 @@ func (p *Program) fuseBlocks() {
 	type block struct {
 		mask     int // qubit set; local bit order follows ascending qubit index
 		members  []int
-		cost     int  // summed instrCost of the members
 		cnotOnly bool // every member is a bare CNOT
 		open     bool
 	}
@@ -544,7 +441,6 @@ func (p *Program) fuseBlocks() {
 		b.mask |= 1 << q
 		for _, m := range pend[q] {
 			b.members = append(b.members, m)
-			b.cost += instrCost(p.ins[m].op)
 			b.cnotOnly = false
 			memberOf[m] = b
 		}
@@ -553,18 +449,10 @@ func (p *Program) fuseBlocks() {
 	}
 	addMember := func(b *block, idx int, op opcode) {
 		b.members = append(b.members, idx)
-		b.cost += instrCost(op)
 		if op != opCNOT {
 			b.cnotOnly = false
 		}
 		memberOf[idx] = b
-	}
-	pendCost := func(q int) int {
-		c := 0
-		for _, m := range pend[q] {
-			c += instrCost(p.ins[m].op)
-		}
-		return c
 	}
 	triple := func(b *block) bool { return b != nil && bits.OnesCount(uint(b.mask)) >= 3 }
 	for idx := range p.ins {
@@ -573,9 +461,8 @@ func (p *Program) fuseBlocks() {
 		case opU2, opDiag:
 			q := in.q
 			b := owner[q]
-			// A single-qubit instruction would turn a pure-CNOT triple into
-			// a dense 8×8 block; close the cheap permutation instead.
-			if b != nil && b.cnotOnly && triple(b) {
+			// Triples are CNOT-only permutations; a rotation closes one.
+			if triple(b) {
 				closeBlk(b)
 				b = nil
 			}
@@ -588,29 +475,20 @@ func (p *Program) fuseBlocks() {
 			a, b := in.q, in.c
 			ba, bb := owner[a], owner[b]
 			if ba != nil && ba == bb {
-				// Keep pure-CNOT triples pure: a controlled diagonal joining
-				// one would force densification, so it closes the block and
-				// starts a fresh pair instead.
-				if !(ba.cnotOnly && triple(ba) && in.op != opCNOT) {
+				// A controlled diagonal closes a triple and starts a fresh
+				// pair instead of joining the permutation.
+				if !triple(ba) || in.op == opCNOT {
 					addMember(ba, idx, in.op)
 					continue
 				}
 				closeBlk(ba)
 				ba, bb = nil, nil
 			}
-			// Grow an open block by the unowned endpoint when the result
-			// still fits in three qubits AND the grown block is worth
-			// emitting: as a zero-arithmetic permutation (everything
-			// involved is a bare CNOT) or as a dense 8×8 block replacing at
-			// least u8FuseCost of standalone work.
+			// Grow an open CNOT-only block by the unowned endpoint when the
+			// result still fits in three qubits and stays a pure permutation.
 			grow := func(blk *block, other int) bool {
-				if blk == nil || bits.OnesCount(uint(blk.mask))+1 > 3 {
-					return false
-				}
-				if blk.cnotOnly && in.op == opCNOT && len(pend[other]) == 0 {
-					return true
-				}
-				return blk.cost+pendCost(other)+instrCost(in.op) >= u8FuseCost
+				return blk != nil && blk.cnotOnly && in.op == opCNOT &&
+					len(pend[other]) == 0 && bits.OnesCount(uint(blk.mask)) < 3
 			}
 			if bb == nil && grow(ba, b) {
 				absorb(ba, b)
@@ -627,9 +505,7 @@ func (p *Program) fuseBlocks() {
 			nb := &block{open: true, cnotOnly: in.op == opCNOT}
 			absorb(nb, a)
 			absorb(nb, b)
-			nb.members = append(nb.members, idx)
-			nb.cost += instrCost(in.op)
-			memberOf[idx] = nb
+			addMember(nb, idx, in.op)
 			blocks = append(blocks, nb)
 		default: // opEmbedAll, opDiagN: full-width barriers
 			for q := 0; q < nq; q++ {
@@ -666,19 +542,16 @@ func (p *Program) fuseBlocks() {
 			gates = append(gates, p.ins[m].gates...)
 		}
 		qs := maskQubits(b.mask)
-		switch {
-		case len(qs) == 2:
+		if len(qs) == 2 {
 			out = append(out, instr{op: opU4, q: qs[0], c: qs[1], gates: gates})
-		case b.cnotOnly:
-			in := instr{
-				op: opPerm8, q: qs[0], c: qs[1], q2: qs[2], gates: gates,
-				perm: cnotPerm8(gates, qs[0], qs[1], qs[2]),
-			}
-			in.cycles, in.invCycles = permCycles(in.perm)
-			out = append(out, in)
-		default:
-			out = append(out, instr{op: opU8, q: qs[0], c: qs[1], q2: qs[2], gates: gates})
+			continue
 		}
+		in := instr{
+			op: opPerm8, q: qs[0], c: qs[1], q2: qs[2], gates: gates,
+			perm: cnotPerm8(gates, qs[0], qs[1], qs[2]),
+		}
+		in.cycles, in.invCycles = permCycles(in.perm)
+		out = append(out, in)
 	}
 	p.ins = out
 }
@@ -738,61 +611,6 @@ func maskQubits(mask int) []int {
 	return qs
 }
 
-// fuseSingleTriples groups consecutive surviving single-qubit instructions
-// on three distinct qubits into one Kronecker-structured triple (opU2x3):
-// the executor applies all three 2×2 factors during a single pass over each
-// 8-amplitude group, trading nothing arithmetically (the factors act on
-// disjoint qubits) for a 3× reduction in memory passes and dispatches. This
-// is what collapses rotation layers that pair/triple entangler fusion cannot
-// touch — e.g. Cross-Mesh's per-layer RX wall in front of the fused
-// diagonal mesh. Runs shorter than three stay as-is.
-func (p *Program) fuseSingleTriples() {
-	out := p.ins[:0:0]
-	var run []int // pending single-qubit instr indices on distinct qubits
-	flush := func() {
-		for _, m := range run {
-			out = append(out, p.ins[m])
-		}
-		run = run[:0]
-	}
-	emit := func() {
-		qs := []int{p.ins[run[0]].q, p.ins[run[1]].q, p.ins[run[2]].q}
-		sort.Ints(qs)
-		var gates []Gate
-		logDeriv := true
-		for _, m := range run {
-			gates = append(gates, p.ins[m].gates...)
-			if g := p.ins[m].gates; len(g) != 1 || g[0].P < 0 || !isSingleQubit(g[0]) {
-				logDeriv = false
-			}
-		}
-		out = append(out, instr{
-			op: opU2x3, q: qs[0], c: qs[1], q2: qs[2], gates: gates, logDeriv: logDeriv,
-		})
-		run = run[:0]
-	}
-	for idx := range p.ins {
-		in := &p.ins[idx]
-		if in.op != opU2 && in.op != opDiag {
-			flush()
-			out = append(out, p.ins[idx])
-			continue
-		}
-		for _, m := range run {
-			if p.ins[m].q == in.q {
-				flush() // same-qubit clash: close the run, start a new one
-				break
-			}
-		}
-		run = append(run, idx)
-		if len(run) == 3 {
-			emit()
-		}
-	}
-	flush()
-	p.ins = out
-}
-
 // layout assigns coefficient slots, derivative slots, parameter lists and —
 // for full-register diagonals — the compile-time derivative sign tables.
 func (p *Program) layout() {
@@ -818,22 +636,6 @@ func (p *Program) layout() {
 			p.ncoef += 32
 			in.dslot = p.nderiv
 			p.nderiv += 32 * len(in.params)
-		case opU8:
-			in.slot = p.ncoef
-			p.ncoef += 128
-			in.dslot = p.nderiv
-			p.nderiv += 128 * len(in.params)
-		case opU2x3:
-			// Three 2×2 factors in ascending-qubit order; each parameter's
-			// derivative is the 2×2 derivative of its own factor. The
-			// log-derivative adjoint reads gradients off the recovered
-			// states instead, so those triples need no derivative slots.
-			in.slot = p.ncoef
-			p.ncoef += 24
-			if !in.logDeriv {
-				in.dslot = p.nderiv
-				p.nderiv += 8 * len(in.params)
-			}
 		case opDiagN:
 			in.slot = p.ncoef
 			p.ncoef += 2 * dim
@@ -977,54 +779,6 @@ func localBit(q, qa, qb int) int {
 	panic("qsim: gate qubit outside fused pair")
 }
 
-// mat8 is an 8×8 complex matrix as interleaved re/im pairs, row-major; the
-// local basis index has the triple's lowest qubit as bit 0.
-type mat8 [128]float64
-
-var ident8 = func() mat8 {
-	var m mat8
-	for i := 0; i < 8; i++ {
-		m[(i*8+i)*2] = 1
-	}
-	return m
-}()
-
-// mul8 returns a·b.
-func mul8(a, b mat8) mat8 {
-	var out mat8
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			var re, im float64
-			for k := 0; k < 8; k++ {
-				ar, ai := a[(r*8+k)*2], a[(r*8+k)*2+1]
-				br, bi := b[(k*8+c)*2], b[(k*8+c)*2+1]
-				re += ar*br - ai*bi
-				im += ar*bi + ai*br
-			}
-			out[(r*8+c)*2], out[(r*8+c)*2+1] = re, im
-		}
-	}
-	return out
-}
-
-// embed2in8 lifts a 2×2 matrix acting on local bit pos (0, 1 or 2) into the
-// 8-dim triple subspace.
-func embed2in8(u mat2, pos int) mat8 {
-	var out mat8
-	mask := 1 << pos
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 8; c++ {
-			if r&^mask != c&^mask {
-				continue
-			}
-			rb, cb := (r>>pos)&1, (c>>pos)&1
-			out[(r*8+c)*2] = u[rb*4+cb*2]
-			out[(r*8+c)*2+1] = u[rb*4+cb*2+1]
-		}
-	}
-	return out
-}
-
 // localBit3 returns the local bit position of qubit q within the triple
 // (qa, qb, qc), qa < qb < qc.
 func localBit3(q, qa, qb, qc int) int {
@@ -1037,62 +791,6 @@ func localBit3(q, qa, qb, qc int) int {
 		return 2
 	}
 	panic("qsim: gate qubit outside fused triple")
-}
-
-// gateMat8 returns the 8×8 matrix of gate g within the triple (qa, qb, qc).
-func gateMat8(g Gate, theta []float64, qa, qb, qc int) mat8 {
-	switch g.Kind {
-	case RX, RY, RZ:
-		return embed2in8(gateMat2(g, theta), localBit3(g.Q, qa, qb, qc))
-	case CNOT:
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for col := 0; col < 8; col++ {
-			row := col
-			if col&(1<<pc) != 0 {
-				row = col ^ (1 << pt)
-			}
-			m[(row*8+col)*2] = 1
-		}
-		return m
-	case CRZ:
-		c, s := cosHalf(theta[g.P]), sinHalf(theta[g.P])
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for j := 0; j < 8; j++ {
-			switch {
-			case j&(1<<pc) == 0:
-				m[(j*8+j)*2] = 1
-			case j&(1<<pt) == 0:
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = c, -s
-			default:
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = c, s
-			}
-		}
-		return m
-	}
-	panic("qsim: gateMat8 on unsupported gate")
-}
-
-// dgateMat8 returns dU/dθ of gate g within the triple (qa, qb, qc).
-func dgateMat8(g Gate, theta []float64, qa, qb, qc int) mat8 {
-	if g.Kind == CRZ {
-		c, s := cosHalf(theta[g.P]), sinHalf(theta[g.P])
-		pc, pt := localBit3(g.C, qa, qb, qc), localBit3(g.Q, qa, qb, qc)
-		var m mat8
-		for j := 0; j < 8; j++ {
-			if j&(1<<pc) == 0 {
-				continue
-			}
-			if j&(1<<pt) == 0 {
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = -s/2, -c/2
-			} else {
-				m[(j*8+j)*2], m[(j*8+j)*2+1] = -s/2, c/2
-			}
-		}
-		return m
-	}
-	return embed2in8(dgateMat2(g, theta), localBit3(g.Q, qa, qb, qc))
 }
 
 // gateMat4 returns the 4×4 matrix of gate g within the pair (qa, qb).
@@ -1182,25 +880,6 @@ func (p *Program) FillCoeffs(theta, dst []float64) {
 				u = mul4(gateMat4(g, theta, in.q, in.c), u)
 			}
 			copy(dst[in.slot:in.slot+32], u[:])
-		case opU8:
-			u := gateMat8(in.gates[0], theta, in.q, in.c, in.q2)
-			for _, g := range in.gates[1:] {
-				u = mul8(gateMat8(g, theta, in.q, in.c, in.q2), u)
-			}
-			copy(dst[in.slot:in.slot+128], u[:])
-		case opU2x3:
-			// Three independent factors: each is the product of the fused
-			// run's gates on its own qubit (the factors commute, so splitting
-			// the stream-ordered gate list per qubit is exact).
-			for f, q := range [3]int{in.q, in.c, in.q2} {
-				u := ident2
-				for _, g := range in.gates {
-					if g.Q == q {
-						u = mul2(gateMat2(g, theta), u)
-					}
-				}
-				copy(dst[in.slot+8*f:in.slot+8*f+8], u[:])
-			}
 		case opDiagN:
 			// Per-basis half-angle accumulation via the sign table, then one
 			// cos/sin per basis state: phase_j = exp(−i·Σ s_pj·θ_p/2).
@@ -1260,9 +939,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 				pre = mul2(mats[i], pre)
 			}
 		case opU4:
-			if in.logDeriv {
-				continue // the adjoint fast path never reads these slots
-			}
 			k := len(in.gates)
 			mats := make([]mat4, k)
 			for i, g := range in.gates {
@@ -1282,71 +958,6 @@ func (p *Program) FillDerivCoeffs(theta, dst []float64) {
 					di++
 				}
 				pre = mul4(mats[i], pre)
-			}
-		case opU8:
-			k := len(in.gates)
-			mats := make([]mat8, k)
-			for i, g := range in.gates {
-				mats[i] = gateMat8(g, theta, in.q, in.c, in.q2)
-			}
-			suf := make([]mat8, k)
-			suf[k-1] = ident8
-			for i := k - 2; i >= 0; i-- {
-				suf[i] = mul8(suf[i+1], mats[i+1])
-			}
-			pre := ident8
-			di := 0
-			for i, g := range in.gates {
-				if g.P >= 0 {
-					d := mul8(suf[i], mul8(dgateMat8(g, theta, in.q, in.c, in.q2), pre))
-					copy(dst[in.dslot+128*di:in.dslot+128*di+128], d[:])
-					di++
-				}
-				pre = mul8(mats[i], pre)
-			}
-		case opU2x3:
-			if in.logDeriv {
-				continue // the adjoint fast path never reads these slots
-			}
-			// Each parameter's derivative slot holds the 2×2 derivative of
-			// its own factor, in the instruction's global parameter order
-			// (the gate walk below matches how layout() collected params).
-			for _, q := range [3]int{in.q, in.c, in.q2} {
-				// Per-factor run derivative: same algorithm as opU2 but over
-				// the subsequence of gates on qubit q.
-				var fgates []Gate
-				var ords []int
-				di := 0
-				for _, g := range in.gates {
-					if g.Q == q {
-						fgates = append(fgates, g)
-						ords = append(ords, di)
-					}
-					if g.P >= 0 {
-						di++
-					}
-				}
-				k := len(fgates)
-				if k == 0 {
-					continue
-				}
-				mats := make([]mat2, k)
-				for i, g := range fgates {
-					mats[i] = gateMat2(g, theta)
-				}
-				suf := make([]mat2, k)
-				suf[k-1] = ident2
-				for i := k - 2; i >= 0; i-- {
-					suf[i] = mul2(suf[i+1], mats[i+1])
-				}
-				pre := ident2
-				for i, g := range fgates {
-					if g.P >= 0 {
-						d := mul2(suf[i], mul2(dgateMat2(g, theta), pre))
-						copy(dst[in.dslot+8*ords[i]:in.dslot+8*ords[i]+8], d[:])
-					}
-					pre = mul2(mats[i], pre)
-				}
 			}
 		}
 	}

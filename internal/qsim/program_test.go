@@ -24,9 +24,9 @@ func progNetMatrix(p *Program, coeff []float64) cmat {
 // TestProgramNetUnitaryOracle is the compiler-level parity oracle: the
 // composed dense matrix of the compiled instruction stream must equal the
 // gate-by-gate dense product of the source circuit.
-// This pins every fusion pass — single-qubit runs, diagonal merges, 4×4/8×8
-// entangler blocks, grouped triples, full-register diagonals — independently
-// of the execution kernels.
+// This pins every fusion pass — single-qubit runs, diagonal merges, 4×4
+// entangler blocks, CNOT-mesh permutations, full-register diagonals —
+// independently of the execution kernels.
 func TestProgramNetUnitaryOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, a := range AllAnsatze {
@@ -56,9 +56,8 @@ func TestProgramNetUnitaryOracle(t *testing.T) {
 // TestProgramDerivCoeffsOracle checks the fused-block derivative matrices
 // against central finite differences of the forward coefficients: for every
 // fused unitary instruction, dU/dθ_p from FillDerivCoeffs must match
-// (U(θ+ε) − U(θ−ε)) / 2ε. For the Kronecker-structured triples only the
-// parameter's own 2×2 factor moves, so the comparison targets that factor's
-// slot window. The ansätze cover the 4×4, 8×8 and triple instruction mixes.
+// (U(θ+ε) − U(θ−ε)) / 2ε. The ansätze cover multi-gate 2×2 runs and 4×4
+// entangler blocks.
 func TestProgramDerivCoeffsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	const eps = 1e-6
@@ -72,31 +71,17 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 		prog.FillDerivCoeffs(theta, deriv)
 		tweak := append([]float64(nil), theta...)
 		for _, in := range prog.ins {
-			if in.op == opU2x3 && in.logDeriv {
-				continue // no derivative slots: the adjoint reads the states
+			if in.logDeriv {
+				continue // no derivative slots read: the adjoint reads the states
 			}
 			var width int
 			switch in.op {
-			case opU2, opU2x3:
+			case opU2:
 				width = 8
 			case opU4:
 				width = 32
-			case opU8:
-				width = 128
 			default:
 				continue
-			}
-			// Factor slot offset per parameter: zero except for triples,
-			// where each parameter differentiates its own factor.
-			offs := make([]int, len(in.params))
-			if in.op == opU2x3 {
-				pi := 0
-				for _, g := range in.gates {
-					if g.P >= 0 {
-						offs[pi] = 8 * localBit3(g.Q, in.q, in.c, in.q2)
-						pi++
-					}
-				}
 			}
 			for pi, p := range in.params {
 				tweak[p] = theta[p] + eps
@@ -105,7 +90,7 @@ func TestProgramDerivCoeffsOracle(t *testing.T) {
 				prog.FillCoeffs(tweak, minus)
 				tweak[p] = theta[p]
 				for i := 0; i < width; i++ {
-					fd := (plus[in.slot+offs[pi]+i] - minus[in.slot+offs[pi]+i]) / (2 * eps)
+					fd := (plus[in.slot+i] - minus[in.slot+i]) / (2 * eps)
 					an := deriv[in.dslot+width*pi+i]
 					if math.Abs(fd-an) > 1e-8 {
 						t.Fatalf("%v op=%d param %d coeff %d: analytic %v vs finite-diff %v", a, in.op, p, i, an, fd)
@@ -190,114 +175,6 @@ func TestProgramDiagCommutationAbsorb(t *testing.T) {
 				if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
 					t.Errorf("%s engine=%v: %s diverges by %v", c.Name, kind, name, d)
 				}
-			}
-		}
-	}
-}
-
-// denseTripleCircuit builds a rotation-dense three-qubit block: two full
-// rotation walls around a CNOT make the couple-then-grow step pass the
-// u8FuseCost gate, so the whole sequence collapses into one dense 8×8
-// super-op. Used to pin the opU8 path now that the cost model keeps the
-// standard ansätze on cheaper forms (pair blocks, permutations, triples).
-func denseTripleCircuit() *Circuit {
-	var gates []Gate
-	p := 0
-	rot := func(q int) {
-		gates = append(gates,
-			Gate{RZ, q, -1, p}, Gate{RY, q, -1, p + 1}, Gate{RZ, q, -1, p + 2})
-		p += 3
-	}
-	rot(0)
-	rot(1)
-	gates = append(gates, Gate{CNOT, 1, 0, -1})
-	rot(0)
-	rot(1)
-	gates = append(gates, Gate{CNOT, 2, 1, -1})
-	rot(2)
-	gates = append(gates, Gate{CRZ, 2, 0, p})
-	p++
-	return &Circuit{Name: "dense-triple", NumQubits: 3, Gates: gates, NumParams: p}
-}
-
-// TestProgramDenseTripleBlock pins the dense 8×8 super-op: the
-// rotation-dense probe circuit must compile into a single opU8 whose
-// net unitary matches the gate product, whose derivative slots match
-// finite differences, and whose execution agrees with every other engine.
-func TestProgramDenseTripleBlock(t *testing.T) {
-	circ := denseTripleCircuit()
-	prog := CompileProgram(circ)
-	nU8 := 0
-	for i := range prog.ins {
-		if prog.ins[i].op == opU8 {
-			nU8++
-		}
-	}
-	if nU8 != 1 || prog.NumInstructions() != 2 { // embed + one dense block
-		t.Fatalf("dense triple: %d instructions, %d opU8 (want 2, 1)", prog.NumInstructions(), nU8)
-	}
-
-	rng := rand.New(rand.NewSource(77))
-	theta := randTheta(rng, circ.NumParams)
-
-	// Net-unitary oracle.
-	dim := 1 << circ.NumQubits
-	ref := eye(dim)
-	for _, g := range circ.Gates {
-		ref = expand(g, theta, circ.NumQubits).mul(ref)
-	}
-	coeff := make([]float64, prog.NumCoeffs())
-	prog.FillCoeffs(theta, coeff)
-	got := progNetMatrix(prog, coeff)
-	for i := range ref.data {
-		if cmplx.Abs(got.data[i]-ref.data[i]) > 1e-12 {
-			t.Fatalf("dense triple net unitary diverges at %d", i)
-		}
-	}
-
-	// Derivative-slot oracle against central finite differences.
-	const eps = 1e-6
-	deriv := make([]float64, prog.nderiv)
-	prog.FillDerivCoeffs(theta, deriv)
-	plus := make([]float64, prog.ncoef)
-	minus := make([]float64, prog.ncoef)
-	tweak := append([]float64(nil), theta...)
-	for _, in := range prog.ins {
-		if in.op != opU8 {
-			continue
-		}
-		for pi, p := range in.params {
-			tweak[p] = theta[p] + eps
-			prog.FillCoeffs(tweak, plus)
-			tweak[p] = theta[p] - eps
-			prog.FillCoeffs(tweak, minus)
-			tweak[p] = theta[p]
-			for i := 0; i < 128; i++ {
-				fd := (plus[in.slot+i] - minus[in.slot+i]) / (2 * eps)
-				if math.Abs(fd-deriv[in.dslot+128*pi+i]) > 1e-8 {
-					t.Fatalf("opU8 param %d coeff %d: analytic %v vs finite-diff %v",
-						p, i, deriv[in.dslot+128*pi+i], fd)
-				}
-			}
-		}
-	}
-
-	// Full engine parity (forward, tangents, adjoint gradients).
-	n, nq := 4, 3
-	angles := randAngles(rng, n, nq)
-	tans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	gz := randAngles(rng, n, nq)
-	gztans := [][]float64{randAngles(rng, n, nq), nil, randAngles(rng, n, nq)}
-	refRes := runEngine(EngineLegacy, circ, n, angles, tans, theta, gz, gztans)
-	for _, kind := range []EngineKind{EngineSharded, EngineNaive} {
-		gotRes := runEngine(kind, circ, n, angles, tans, theta, gz, gztans)
-		//torq:allow maprange -- independent per-series assertions
-		for name, pair := range map[string][2][]float64{
-			"z": {refRes.z, gotRes.z}, "dAngles": {refRes.dAngles, gotRes.dAngles},
-			"dTheta": {refRes.dTheta, gotRes.dTheta},
-		} {
-			if d := maxAbsDiff(pair[0], pair[1]); d > 1e-10 {
-				t.Errorf("engine=%v: %s diverges by %v", kind, name, d)
 			}
 		}
 	}

@@ -673,7 +673,7 @@ func TestLayerSlicePartition(t *testing.T) {
 // worker applies to circuits it receives.
 func TestBuiltCircuitsValidate(t *testing.T) {
 	for _, a := range AllAnsatze {
-		for _, nq := range []int{2, 4, 7} {
+		for _, nq := range []int{1, 2, 4, 7} {
 			c := a.Build(nq, 3)
 			for _, circ := range []*Circuit{c, c.WithReupload()} {
 				if err := circ.Validate(); err != nil {
